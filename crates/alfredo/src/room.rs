@@ -22,12 +22,16 @@
 //! * **Backpressured broadcast.** Fan-out rides the existing
 //!   [`ServeQueue`]: each member has one single-flight drain job,
 //!   submitted under the member's peer name so room traffic shares the
-//!   member's fairness lane with its RPCs. A slow or `Busy` member's
-//!   backlog is **coalesced** into one state-at-seq [`RoomUpdate::Snapshot`]
-//!   instead of growing without bound, while healthy members receive
-//!   every delta in order. A member that applied a snapshot at seq `S`
-//!   plus the deltas `> S` reconstructs byte-identical state to a member
-//!   that saw every delta — the invariant the room test battery proves.
+//!   member's fairness lane with its RPCs; one publish hands all its
+//!   drain jobs over in a single [`ServeQueue::submit_batch`]. Members
+//!   share each delta's allocation. A member whose backlog overflows
+//!   between two turns of its drain (or whose drain is `Busy`) is
+//!   **coalesced** into one state-at-seq [`RoomUpdate::Snapshot`]
+//!   instead of growing without bound; a member whose drain keeps pace
+//!   receives every delta in order. A member that applied a snapshot at
+//!   seq `S` plus the deltas `> S` reconstructs byte-identical state to a
+//!   member that saw every delta — the invariant the room test battery
+//!   proves.
 //!
 //! Phone side, a [`RoomReplica`] subscribes to the room's update topic on
 //! the local EventAdmin (R-OSGi forwards the device's per-member
@@ -309,7 +313,10 @@ struct MemberState {
     /// failed — the lease holds the seat open for a rejoin.
     sink: Option<Arc<dyn RoomSink>>,
     lease_deadline_ms: u64,
-    pending: VecDeque<RoomUpdate>,
+    /// Updates not yet taken by the member's drain. Deltas are shared by
+    /// every member (one allocation per publish), and so is a snapshot
+    /// built for members coalescing in the same publish.
+    pending: VecDeque<Arc<RoomUpdate>>,
     /// A drain job is queued or running; at most one per member, which is
     /// what keeps per-member delivery in order.
     in_flight: bool,
@@ -516,10 +523,7 @@ impl Room {
                     },
                 );
             }
-            let snapshot = RoomUpdate::Snapshot {
-                seq: inner.seq,
-                state: inner.state.clone(),
-            };
+            let snapshot = snapshot_update(inner.seq, &inner.state);
             let m = inner.members.get_mut(member).expect("member just inserted");
             m.pending.push_back(snapshot);
             if !m.in_flight {
@@ -700,33 +704,37 @@ impl Room {
             }
         }
         self.journal_delta(seq, member, key, &op);
-        let delta = RoomDelta {
+        let update = Arc::new(RoomUpdate::Delta(RoomDelta {
             seq,
             member: member.to_owned(),
             key: key.to_owned(),
             op,
-        };
+        }));
         // Fan-out enqueue under the same lock hold: every member's queue
-        // receives deltas in seq order.
+        // receives updates in seq order.
         let buffer_cap = self.config.member_buffer;
-        let state_snapshot: BTreeMap<String, Value> = inner.state.clone();
+        let RoomInner { state, members, .. } = inner;
+        // Built only when a member overflows, then shared by every member
+        // that coalesces in this publish: the same lock hold sees the
+        // same state at the same seq, so the copy costs O(state) per
+        // coalescing publish and nothing otherwise.
+        let mut snapshot: Option<Arc<RoomUpdate>> = None;
         let mut coalesced = 0u64;
-        for (name, m) in inner.members.iter_mut() {
+        for (name, m) in members.iter_mut() {
             if m.sink.is_none() {
                 continue; // seat awaiting rejoin: nothing to deliver to
             }
-            m.pending.push_back(RoomUpdate::Delta(delta.clone()));
-            if m.pending.len() > buffer_cap {
-                // The member fell behind: collapse the whole backlog into
-                // one state-at-seq snapshot. Deltas published later queue
-                // behind it with seq > this seq, so the member
-                // reconstructs identical state with no gap.
+            if m.pending.len() >= buffer_cap {
+                // The member fell behind: collapse the whole backlog and
+                // this delta into one state-at-seq snapshot. Deltas
+                // published later queue behind it with seq > this seq,
+                // so the member reconstructs identical state with no gap.
+                let snapshot = snapshot.get_or_insert_with(|| snapshot_update(seq, state));
                 m.pending.clear();
-                m.pending.push_back(RoomUpdate::Snapshot {
-                    seq,
-                    state: state_snapshot.clone(),
-                });
+                m.pending.push_back(Arc::clone(snapshot));
                 coalesced += 1;
+            } else {
+                m.pending.push_back(Arc::clone(&update));
             }
             if !m.in_flight {
                 m.in_flight = true;
@@ -773,77 +781,121 @@ impl Room {
         });
     }
 
-    /// Schedules one drain job per kicked member: through the serve queue
-    /// under the member's peer name when the room has one, inline
-    /// otherwise. A `Busy` rejection coalesces the member's backlog into
-    /// a snapshot and defers the kick to the next publish or tick.
+    /// Schedules one drain job per kicked member: all of them through the
+    /// serve queue in one hand-off, each under the member's peer name,
+    /// when the room has a queue; inline otherwise. A `Busy` rejection
+    /// coalesces the member's backlog into a snapshot and defers the kick
+    /// to the next publish or tick.
     fn kick(self: &Arc<Self>, members: Vec<String>) {
-        for member in members {
-            match &self.queue {
-                Some(q) => {
-                    let room = Arc::clone(self);
-                    let name = member.clone();
-                    if !q.submit(&member, Box::new(move || room.drain(&name))) {
-                        self.busy_kicks.fetch_add(1, Ordering::Relaxed);
-                        let mut inner = self.inner.lock();
-                        let seq = inner.seq;
-                        let state = inner.state.clone();
-                        if let Some(m) = inner.members.get_mut(&member) {
-                            m.in_flight = false;
-                            m.kick_failed = true;
-                            if m.pending.len() > 1 {
-                                m.pending.clear();
-                                m.pending.push_back(RoomUpdate::Snapshot { seq, state });
-                                self.coalesced_snapshots.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-                None => self.drain(&member),
+        let Some(q) = &self.queue else {
+            for member in &members {
+                self.drain(member);
+            }
+            return;
+        };
+        if members.is_empty() {
+            return;
+        }
+        let jobs = members
+            .into_iter()
+            .map(|member| {
+                let room = Arc::clone(self);
+                let name = member.clone();
+                let job: Box<dyn FnOnce() + Send> = Box::new(move || room.drain(&name));
+                (member, job)
+            })
+            .collect();
+        let rejected = q.submit_batch(jobs);
+        if rejected.is_empty() {
+            return;
+        }
+        self.busy_kicks
+            .fetch_add(rejected.len() as u64, Ordering::Relaxed);
+        let mut inner = self.inner.lock();
+        let RoomInner {
+            state,
+            seq,
+            members,
+        } = &mut *inner;
+        let mut snapshot: Option<Arc<RoomUpdate>> = None;
+        for member in rejected {
+            let Some(m) = members.get_mut(&member) else {
+                continue;
+            };
+            m.in_flight = false;
+            m.kick_failed = true;
+            if m.pending.len() > 1 {
+                let snapshot = snapshot.get_or_insert_with(|| snapshot_update(*seq, state));
+                m.pending.clear();
+                m.pending.push_back(Arc::clone(snapshot));
+                self.coalesced_snapshots.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
     /// Delivers a member's backlog in order. Single-flight per member
-    /// (guarded by `in_flight`), so updates can never interleave; runs on
-    /// a serve worker (or the publisher's thread in inline mode) with the
-    /// room lock released around each sink call.
+    /// (guarded by `in_flight`), so updates can never interleave. Each
+    /// turn takes the whole backlog in one room-lock hold and delivers it
+    /// with the lock released; runs on a serve worker (or the publisher's
+    /// thread in inline mode).
     fn drain(self: &Arc<Self>, member: &str) {
-        loop {
-            let (update, sink) = {
+        // Swapped with the member's backlog each turn and handed back
+        // empty at the end, so steady-state draining allocates nothing.
+        let mut batch = VecDeque::new();
+        'turns: loop {
+            let sink = {
                 let mut inner = self.inner.lock();
                 let Some(m) = inner.members.get_mut(member) else {
                     return; // evicted mid-drain
                 };
-                let Some(update) = m.pending.pop_front() else {
+                if m.pending.is_empty() {
+                    m.pending = batch;
                     m.in_flight = false;
                     return;
-                };
+                }
                 let Some(sink) = m.sink.clone() else {
                     // Sink dropped mid-drain (rejoin pending); discard.
                     m.pending.clear();
                     m.in_flight = false;
                     return;
                 };
-                (update, sink)
+                std::mem::swap(&mut m.pending, &mut batch);
+                sink
             };
-            if sink.deliver(&self.name, &update) {
-                self.delivered.fetch_add(1, Ordering::Relaxed);
-            } else {
+            for update in batch.drain(..) {
+                if sink.deliver(&self.name, &update) {
+                    self.delivered.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
                 self.sink_failures.fetch_add(1, Ordering::Relaxed);
                 let mut inner = self.inner.lock();
-                if let Some(m) = inner.members.get_mut(member) {
-                    // Dead wire: drop the sink but hold the seat for a
-                    // lease-bounded rejoin (the heartbeat health machine
-                    // or TTL decides when the seat is truly gone).
-                    m.sink = None;
-                    m.pending.clear();
-                    m.in_flight = false;
+                let Some(m) = inner.members.get_mut(member) else {
+                    return;
+                };
+                if m.sink.as_ref().is_some_and(|s| !Arc::ptr_eq(s, &sink)) {
+                    // A rejoin replaced the sink mid-batch and restarted
+                    // the backlog from a fresh snapshot: drop the stale
+                    // rest of this batch and drain the new backlog.
+                    continue 'turns;
                 }
+                // Dead wire: drop the sink but hold the seat for a
+                // lease-bounded rejoin (the heartbeat health machine or
+                // TTL decides when the seat is truly gone).
+                m.sink = None;
+                m.pending.clear();
+                m.in_flight = false;
                 return;
             }
         }
     }
+}
+
+/// A shared [`RoomUpdate::Snapshot`] of `state` at `seq`.
+fn snapshot_update(seq: u64, state: &BTreeMap<String, Value>) -> Arc<RoomUpdate> {
+    Arc::new(RoomUpdate::Snapshot {
+        seq,
+        state: state.clone(),
+    })
 }
 
 impl fmt::Debug for Room {

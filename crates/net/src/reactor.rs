@@ -651,7 +651,10 @@ impl Conn {
     }
 
     /// Switches to push-mode delivery; queued frames drain into the sink
-    /// first so ordering is preserved across the switch.
+    /// first so ordering is preserved across the switch. A sink installed
+    /// after end-of-stream gets its `on_close` and is then dropped, never
+    /// stored: a stored sink that reaches back to this connection (an
+    /// endpoint's sink holds its transport) would keep it alive forever.
     pub(crate) fn set_sink(&self, mut new_sink: Box<dyn FrameSink>) {
         let mut sink = self.sink.lock();
         let (drained, fin) = {
@@ -662,18 +665,21 @@ impl Conn {
         for f in drained {
             new_sink.on_frame(f);
         }
-        if fin {
-            let deliver = {
-                let mut inbox = self.inbox.lock();
-                let first = !inbox.fin_delivered;
-                inbox.fin_delivered = true;
-                first
-            };
-            if deliver {
-                new_sink.on_close();
-            }
+        if !fin {
+            *sink = Some(new_sink);
+            return;
         }
-        *sink = Some(new_sink);
+        let deliver = {
+            let mut inbox = self.inbox.lock();
+            let first = !inbox.fin_delivered;
+            inbox.fin_delivered = true;
+            first
+        };
+        if deliver {
+            new_sink.on_close();
+        }
+        drop(sink);
+        drop(new_sink);
     }
 
     /// Local graceful close: new sends fail immediately, the poller
@@ -711,7 +717,7 @@ impl Conn {
         }
     }
 
-    fn fd(&self) -> i32 {
+    pub(crate) fn fd(&self) -> i32 {
         self.stream.as_raw_fd()
     }
 }
@@ -1017,7 +1023,10 @@ fn deliver_frame(conn: &Conn, frame: Vec<u8>) {
 }
 
 /// Marks end-of-stream and fires `on_close` exactly once if a sink is
-/// installed (otherwise pull-mode readers observe `fin`).
+/// installed (otherwise pull-mode readers observe `fin`). The sink is then
+/// taken out and dropped after both locks are released: it may hold the
+/// transport that owns this connection, and that cycle would otherwise
+/// keep the connection and its socket alive after teardown.
 fn deliver_fin(conn: &Conn) {
     let mut sink = conn.sink.lock();
     let deliver = {
@@ -1036,6 +1045,9 @@ fn deliver_fin(conn: &Conn) {
             s.on_close();
         }
     }
+    let finished = sink.take();
+    drop(sink);
+    drop(finished);
 }
 
 // ---------------------------------------------------------------------------

@@ -311,6 +311,57 @@ mod tests {
     }
 
     #[test]
+    fn closed_connection_is_released_although_its_sink_holds_the_transport() {
+        // An endpoint installs a sink that holds the endpoint's transport:
+        // conn -> sink -> transport -> conn. Once both ends close, the
+        // connection and its socket must still go.
+        struct Holder {
+            _wire: Arc<dyn Transport>,
+            closed: mpsc::Sender<()>,
+        }
+        impl FrameSink for Holder {
+            fn on_frame(&mut self, _frame: Vec<u8>) {}
+            fn on_close(&mut self) {
+                let _ = self.closed.send(());
+            }
+        }
+        let (client, server) = pair();
+        let conns = [Arc::downgrade(&client.conn), Arc::downgrade(&server.conn)];
+        let fd_target = |fd: i32| std::fs::read_link(format!("/proc/self/fd/{fd}")).ok();
+        let sockets: Vec<_> = [client.conn.fd(), server.conn.fd()]
+            .into_iter()
+            .map(|fd| (fd, fd_target(fd)))
+            .collect();
+        let (tx, rx) = mpsc::channel();
+        for end in [client, server] {
+            let wire: Arc<dyn Transport> = Arc::new(end);
+            assert!(wire.set_sink(Box::new(Holder {
+                _wire: Arc::clone(&wire),
+                closed: tx.clone(),
+            })));
+            wire.close();
+        }
+        let timeout = Duration::from_secs(5);
+        for _ in 0..2 {
+            rx.recv_timeout(timeout)
+                .expect("on_close fires on both ends");
+        }
+        let deadline = std::time::Instant::now() + timeout;
+        while conns.iter().any(|c| c.upgrade().is_some()) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a closed connection is still alive"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for (fd, before) in sockets {
+            if before.is_some() {
+                assert_ne!(fd_target(fd), before, "fd {fd} still holds its socket");
+            }
+        }
+    }
+
+    #[test]
     fn channel_transport_reports_no_sink_support() {
         let net = crate::InMemoryNetwork::new();
         let _listener = net.bind(PeerAddr::new("s")).unwrap();

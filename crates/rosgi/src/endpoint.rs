@@ -2347,25 +2347,23 @@ fn run_handshake(
     inner: &Inner,
     wire: &Arc<dyn Transport>,
 ) -> Result<(String, Vec<RemoteServiceInfo>), RosgiError> {
-    inner.send_on(
-        wire,
-        &Message::Hello {
+    let greeting = [
+        Message::Hello {
             peer: inner.config.peer_name.clone(),
             version: PROTOCOL_VERSION,
         },
-    )?;
-    inner.send_on(
-        wire,
-        &Message::Lease {
+        Message::Lease {
             services: inner.exportable_services(),
         },
-    )?;
-    inner.send_on(
-        wire,
-        &Message::EventInterest {
+        Message::EventInterest {
             patterns: inner.framework.event_admin().patterns(),
         },
-    )?;
+    ];
+    for msg in &greeting {
+        inner
+            .send_on(wire, msg)
+            .map_err(|err| handshake_first_cause(wire, err))?;
+    }
 
     let deadline = Instant::now() + inner.config.handshake_timeout;
     let mut peer = None;
@@ -2380,9 +2378,7 @@ fn run_handshake(
         match Message::decode(&frame)? {
             Message::Hello { peer: p, version } => {
                 if version != PROTOCOL_VERSION {
-                    return Err(RosgiError::Handshake(format!(
-                        "protocol version mismatch: ours {PROTOCOL_VERSION}, theirs {version}"
-                    )));
+                    return Err(version_mismatch(version));
                 }
                 peer = Some(p);
             }
@@ -2401,6 +2397,26 @@ fn run_handshake(
         peer.expect("loop exits only with peer"),
         services.expect("loop exits only with services"),
     ))
+}
+
+fn version_mismatch(theirs: u32) -> RosgiError {
+    RosgiError::Handshake(format!(
+        "protocol version mismatch: ours {PROTOCOL_VERSION}, theirs {theirs}"
+    ))
+}
+
+/// A handshake send fails when the peer already hung up. If the peer
+/// said why before it went (a `Hello` of another protocol version is
+/// queued), that is the first cause; otherwise `err` is.
+fn handshake_first_cause(wire: &Arc<dyn Transport>, err: RosgiError) -> RosgiError {
+    while let Ok(Some(frame)) = wire.try_recv() {
+        if let Ok(Message::Hello { version, .. }) = Message::decode(&frame) {
+            if version != PROTOCOL_VERSION {
+                return version_mismatch(version);
+            }
+        }
+    }
+    err
 }
 
 /// Background heartbeat: probes the peer, drives the health state

@@ -154,6 +154,32 @@ struct QueueInner {
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
+impl QueueInner {
+    /// The backpressure checks and the enqueue, under the caller's hold of
+    /// the queue lock: a full queue or a full peer lane rejects (`false`,
+    /// counted as `Busy`); otherwise the entry joins the peer's lane and
+    /// the peer joins the round-robin ring if it was idle.
+    fn enqueue(&self, state: &mut QueueState, peer: &str, entry: Entry) -> bool {
+        if state.total >= self.config.total_depth {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        let queue = state.queues.entry(peer.to_owned()).or_default();
+        if queue.len() >= self.config.per_peer_depth {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        let was_empty = queue.is_empty();
+        queue.push_back(entry);
+        state.total += 1;
+        if was_empty {
+            state.ring.push_back(peer.to_owned());
+        }
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+}
+
 /// A bounded, peer-fair work queue shared by a device's endpoints.
 /// Cloning yields another handle to the same queue.
 #[derive(Clone)]
@@ -253,31 +279,57 @@ impl ServeQueue {
             }
         }
         let mut state = inner.state.lock();
-        if state.total >= inner.config.total_depth {
-            drop(state);
-            inner.rejected.fetch_add(1, Ordering::Relaxed);
-            return SubmitOutcome::Busy;
-        }
-        let queue = state.queues.entry(peer.to_owned()).or_default();
-        if queue.len() >= inner.config.per_peer_depth {
-            drop(state);
-            inner.rejected.fetch_add(1, Ordering::Relaxed);
-            return SubmitOutcome::Busy;
-        }
-        let was_empty = queue.is_empty();
-        queue.push_back(Entry {
+        let entry = Entry {
             job,
             deadline,
             on_expired,
-        });
-        state.total += 1;
-        if was_empty {
-            state.ring.push_back(peer.to_owned());
+        };
+        if !inner.enqueue(&mut state, peer, entry) {
+            return SubmitOutcome::Busy;
         }
         drop(state);
-        inner.submitted.fetch_add(1, Ordering::Relaxed);
         inner.ready.notify_one();
         SubmitOutcome::Accepted
+    }
+
+    /// Enqueues one job per `(peer, job)` pair under a single hold of the
+    /// queue lock and wakes at most `min(accepted, workers)` workers: the
+    /// room fan-out's one hand-off per publish. Each pair passes the same
+    /// per-peer and total depth checks as [`ServeQueue::submit`]. Returns
+    /// the peers whose job was rejected (`Busy`), in input order; those
+    /// jobs are dropped unrun.
+    pub fn submit_batch(&self, jobs: Vec<(String, ServeJob)>) -> Vec<String> {
+        let inner = &self.inner;
+        if inner.shutdown.load(Ordering::SeqCst) {
+            inner
+                .rejected
+                .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+            return jobs.into_iter().map(|(peer, _)| peer).collect();
+        }
+        let mut rejected = Vec::new();
+        let mut accepted = 0;
+        let mut state = inner.state.lock();
+        for (peer, job) in jobs {
+            let entry = Entry {
+                job,
+                deadline: None,
+                on_expired: None,
+            };
+            if inner.enqueue(&mut state, &peer, entry) {
+                accepted += 1;
+            } else {
+                rejected.push(peer);
+            }
+        }
+        drop(state);
+        if accepted >= inner.config.workers {
+            inner.ready.notify_all();
+        } else {
+            for _ in 0..accepted {
+                inner.ready.notify_one();
+            }
+        }
+        rejected
     }
 
     /// Jobs currently queued for `peer` alone (the fairness lane the
@@ -502,6 +554,53 @@ mod tests {
             b_pos <= 1,
             "b0 served within one round-robin turn, got order {order:?}"
         );
+    }
+
+    #[test]
+    fn batch_applies_the_depth_checks_to_every_job() {
+        // The only worker is parked, so depths are exact: the third job
+        // for "a" overflows its lane, and "e" finds the queue full.
+        let q = ServeQueue::new(ServeQueueConfig {
+            workers: 1,
+            per_peer_depth: 2,
+            total_depth: 5,
+            retry_after: Duration::from_millis(1),
+        });
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let g = Arc::clone(&gate);
+        assert!(q.submit(
+            "blocker",
+            Box::new(move || {
+                let mut open = g.0.lock();
+                while !*open {
+                    let (guard, _) = g.1.wait_timeout(open, Duration::from_secs(5));
+                    open = guard;
+                }
+            })
+        ));
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while q.stats().depth > 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        let ran = Arc::new(AtomicUsize::new(0));
+        let jobs = ["a", "a", "a", "b", "c", "d", "e"]
+            .into_iter()
+            .map(|peer| {
+                let r = Arc::clone(&ran);
+                let job: ServeJob = Box::new(move || {
+                    r.fetch_add(1, Ordering::SeqCst);
+                });
+                (peer.to_string(), job)
+            })
+            .collect();
+        assert_eq!(q.submit_batch(jobs), vec!["a", "e"]);
+        let stats = q.stats();
+        assert_eq!((stats.submitted, stats.rejected, stats.depth), (6, 2, 5));
+        *gate.0.lock() = true;
+        gate.1.notify_all();
+        q.shutdown();
+        assert_eq!(ran.load(Ordering::SeqCst), 5, "every accepted job ran");
+        assert_eq!(q.submit_batch(Vec::new()), Vec::<String>::new());
     }
 
     #[test]
